@@ -731,7 +731,7 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
     use mflb_core::mdp::FixedRulePolicy;
     use mflb_core::{JobSizeLaw, StateDist};
     use mflb_policy::jsq_rule;
-    use mflb_sim::{serve, EventEngine, Job, JobSource, ServeOptions, Timeline};
+    use mflb_sim::{parse_trace, serve, EventEngine, Job, JobSource, ServeOptions, Timeline};
 
     let unix_time =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_secs();
@@ -890,6 +890,35 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
         entries.push(with_baseline(
             entry("serve_dispatch_empty_plan_M100", 1, empty_secs, empty_jobs, "jobs/s"),
             pristine_secs,
+        ));
+    }
+
+    // --- 6. Trace ingest: `parse_trace` over a compact 50k-line trace
+    //     (the `Job::to_jsonl` form `simulate --record-trace` writes),
+    //     against the generic `serde_json::from_str::<Job>` path on the
+    //     same lines — the tree-building parser the scanner bypasses. ---
+    {
+        let num_jobs = 50_000usize;
+        let text: String = (0..num_jobs)
+            .map(|i| {
+                let job = Job { t: i as f64 / 85.0, size: 0.25 + (i as f64 * 0.377).fract() * 1.5 };
+                job.to_jsonl() + "\n"
+            })
+            .collect();
+        let iters = 5 * scale;
+        let scanned = time_loop(iters, || {
+            black_box(parse_trace(black_box(&text)).expect("generated trace parses"));
+        });
+        let generic = time_loop(iters, || {
+            let jobs: Vec<Job> = black_box(&text)
+                .lines()
+                .map(|line| serde_json::from_str(line).expect("generated trace parses"))
+                .collect();
+            black_box(jobs);
+        });
+        entries.push(with_baseline(
+            entry("serve_trace_ingest", iters, scanned, num_jobs as f64, "lines/s"),
+            generic,
         ));
     }
 

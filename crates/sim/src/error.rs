@@ -115,6 +115,9 @@ pub enum ServeError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
+    /// A trace (buffered or streamed) holds no job line at all — it is
+    /// empty or only blank lines and `#` comments.
+    EmptyTrace,
     /// The requested serve duration is not positive and finite.
     Duration(f64),
     /// A staleness threshold of zero intervals was requested.
@@ -141,6 +144,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::TraceIo { line, retries, source } => {
                 write!(f, "trace line {line}: read failed after {retries} retries: {source}")
+            }
+            ServeError::EmptyTrace => {
+                write!(f, "trace has no jobs (only blank lines and comments)")
             }
             ServeError::Duration(te) => {
                 write!(f, "serve duration must be positive and finite, got {te}")

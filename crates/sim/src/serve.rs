@@ -15,7 +15,15 @@
 //! One job per line, `{"t": <arrival time>, "size": <work units>}`:
 //! times must be finite, nonnegative and nondecreasing; sizes positive
 //! and finite. Blank lines and `#` comments are skipped. A malformed
-//! line is reported with its 1-based line number ([`parse_trace`]).
+//! line is reported with its 1-based line number ([`parse_trace`]); a
+//! trace without a single job line is rejected as a whole
+//! ([`ServeError::EmptyTrace`]).
+//! Lines in the schema's own shape — `{"t":…,"size":…}` in that key
+//! order, compact or with JSON whitespace between tokens, exactly what
+//! [`Job::to_jsonl`] writes — are read by an allocation-free byte
+//! scanner; every other line (reordered or extra keys, escapes, anything
+//! malformed) goes through the generic `serde_json` parser, so accepted
+//! values and error messages are the same either way.
 //! Traces replay either fully buffered ([`JobSource::Trace`]) or
 //! streamed line-by-line from any reader — e.g. stdin — with the same
 //! 1-based diagnostics ([`JobSource::Stream`], [`LineTraceReader`]).
@@ -90,8 +98,11 @@ pub fn parse_trace_line(raw: &str, lineno: usize, last_t: f64) -> Result<Option<
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let job: Job = serde_json::from_str(line)
-        .map_err(|source| ServeError::TraceParse { line: lineno, source })?;
+    let job = match scan_job(line) {
+        Some(job) => job,
+        None => serde_json::from_str(line)
+            .map_err(|source| ServeError::TraceParse { line: lineno, source })?,
+    };
     if !(job.t.is_finite() && job.t >= 0.0) {
         return Err(ServeError::ArrivalTime { line: lineno, t: job.t });
     }
@@ -104,10 +115,88 @@ pub fn parse_trace_line(raw: &str, lineno: usize, last_t: f64) -> Result<Option<
     Ok(Some(job))
 }
 
+/// Reads a line of the exact shape `{"t":<number>,"size":<number>}`
+/// (JSON whitespace allowed between tokens) straight from its bytes,
+/// without building a JSON tree. `None` for anything else — including a
+/// number the generic parser would reject — so the caller falls back to
+/// `serde_json`, which then produces the same value or the same error.
+fn scan_job(line: &str) -> Option<Job> {
+    let mut s = JobScanner { text: line, pos: 0 };
+    s.token("{")?;
+    s.token("\"t\"")?;
+    s.token(":")?;
+    let t = s.number()?;
+    s.token(",")?;
+    s.token("\"size\"")?;
+    s.token(":")?;
+    let size = s.number()?;
+    s.token("}")?;
+    s.skip_ws();
+    (s.pos == line.len()).then_some(Job { t, size })
+}
+
+/// Cursor of [`scan_job`].
+struct JobScanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl JobScanner<'_> {
+    /// Skips the JSON whitespace the generic parser skips.
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace, then consumes `tok` verbatim.
+    fn token(&mut self, tok: &str) -> Option<()> {
+        self.skip_ws();
+        let rest = &self.text.as_bytes()[self.pos..];
+        rest.starts_with(tok.as_bytes()).then(|| self.pos += tok.len())
+    }
+
+    /// Skips whitespace, then reads a number exactly as the generic
+    /// parser does: it must start with `-` or a digit, runs over
+    /// `[0-9.eE+-]`, and is an `f64` if any of `.eE+-` follows its first
+    /// byte, else an `i128` widened with `as f64`.
+    fn number(&mut self) -> Option<f64> {
+        self.skip_ws();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        match bytes.get(start) {
+            Some(b'-' | b'0'..=b'9') => self.pos += 1,
+            _ => return None,
+        }
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        // Every byte in `start..pos` is ASCII, so both ends are char
+        // boundaries.
+        let text = &self.text[start..self.pos];
+        if is_float {
+            text.parse::<f64>().ok()
+        } else {
+            text.parse::<i128>().ok().map(|n| n as f64)
+        }
+    }
+}
+
 /// Parses a JSONL job trace (see the module docs for the schema). Every
-/// complaint names the offending 1-based line.
+/// complaint names the offending 1-based line; a trace with no job line
+/// at all is [`ServeError::EmptyTrace`].
 pub fn parse_trace(text: &str) -> Result<Vec<Job>, ServeError> {
-    let mut jobs = Vec::new();
+    // One slot per newline: never more than the job lines the text can
+    // hold, so a newline-terminated trace fills its buffer without a
+    // single reallocation.
+    let mut jobs = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count());
     let mut last_t = 0.0f64;
     for (i, raw) in text.lines().enumerate() {
         if let Some(job) = parse_trace_line(raw, i + 1, last_t)? {
@@ -115,17 +204,23 @@ pub fn parse_trace(text: &str) -> Result<Vec<Job>, ServeError> {
             jobs.push(job);
         }
     }
+    if jobs.is_empty() {
+        return Err(ServeError::EmptyTrace);
+    }
     Ok(jobs)
 }
 
 /// A streaming JSONL trace reader: parses jobs lazily, line by line,
 /// from any [`BufRead`] (a file, stdin, a pipe) with the same 1-based
-/// line diagnostics as [`parse_trace`]. Transient read errors are
-/// retried with exponential backoff before the run aborts.
+/// line diagnostics as [`parse_trace`] — including
+/// [`ServeError::EmptyTrace`] when EOF arrives before the first job.
+/// Transient read errors are retried with exponential backoff before the
+/// run aborts.
 pub struct LineTraceReader {
     reader: Box<dyn BufRead>,
     lineno: usize,
     last_t: f64,
+    seen_job: bool,
     retries: u32,
     backoff_ms: u64,
     pending: Option<Job>,
@@ -158,6 +253,7 @@ impl LineTraceReader {
             reader,
             lineno: 0,
             last_t: 0.0,
+            seen_job: false,
             retries,
             backoff_ms,
             pending: None,
@@ -205,6 +301,9 @@ impl LineTraceReader {
         loop {
             match self.read_line_with_retry(&mut buf) {
                 Ok(0) => {
+                    if !self.seen_job {
+                        self.error = Some(ServeError::EmptyTrace);
+                    }
                     self.done = true;
                     return;
                 }
@@ -214,6 +313,7 @@ impl LineTraceReader {
                         Ok(None) => continue,
                         Ok(Some(job)) => {
                             self.last_t = job.t;
+                            self.seen_job = true;
                             self.pending = Some(job);
                             return;
                         }
@@ -685,6 +785,51 @@ mod tests {
             let err = parse_trace(text).unwrap_err().to_string();
             assert!(err.contains(needle), "{text:?} → {err}");
         }
+    }
+
+    #[test]
+    fn to_jsonl_output_always_takes_the_scanner_path() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
+        let edges = [0.0, -0.0, 1.0, 3.0, 0.1, 1e-7, 1e21, 5e-324, 2.2e-308, f64::MAX, -2.5];
+        let random = (0..2000).map(|_| f64::from_bits(rng.gen())).filter(|x| x.is_finite());
+        let values: Vec<f64> = edges.into_iter().chain(random).collect();
+        for pair in values.windows(2) {
+            let job = Job { t: pair[0], size: pair[1] };
+            let line = job.to_jsonl();
+            let scanned = scan_job(&line).unwrap_or_else(|| panic!("{line} fell back"));
+            assert_eq!(scanned.t.to_bits(), job.t.to_bits(), "{line}");
+            assert_eq!(scanned.size.to_bits(), job.size.to_bits(), "{line}");
+        }
+    }
+
+    #[test]
+    fn scanner_defers_every_other_shape_to_the_generic_parser() {
+        for line in [
+            "{\"size\": 1.0, \"t\": 0.5}",
+            "{\"t\": 0.5, \"size\": 1.0, \"tag\": 1}",
+            "{\"\\u0074\": 0.5, \"size\": 1.0}",
+            "{\"t\": .5, \"size\": 1.0}",
+            "{\"t\": 0.5, \"size\": 1.0} x",
+        ] {
+            assert!(scan_job(line).is_none(), "{line}");
+        }
+        let job = parse_trace_line("{\"size\": 1.0, \"t\": 0.5}", 1, 0.0).unwrap();
+        assert_eq!(job, Some(Job { t: 0.5, size: 1.0 }));
+        assert_eq!(scan_job(" {\t\"t\" :2 ,\r\"size\":\n1e0 } "), Some(Job { t: 2.0, size: 1.0 }));
+    }
+
+    #[test]
+    fn a_trace_without_job_lines_is_an_error() {
+        for text in ["", "\n\n", "# header only\n\n# trailer"] {
+            assert!(matches!(parse_trace(text), Err(ServeError::EmptyTrace)), "{text:?}");
+        }
+        let e = engine();
+        let stream = JobSource::Stream(RefCell::new(LineTraceReader::new(Box::new(
+            std::io::Cursor::new("# nothing to serve\n".to_string()),
+        ))));
+        let err = serve(&e, &jsq(), "JSQ(2)", &stream, &ServeOptions::default(), |_| {});
+        assert!(matches!(err, Err(ServeError::EmptyTrace)), "{err:?}");
     }
 
     #[test]

@@ -109,13 +109,37 @@ fn oracle_config_from_flags() -> OracleConfig {
     }
 }
 
+/// Builds the `SystemConfig` from the common flags. Degenerate values
+/// (`--m 0`, `--dt -1`, …) are usage errors (exit 2), checked before the
+/// asserting `with_*` builders can panic on them.
 fn build_config() -> SystemConfig {
     let dt: f64 = parse("--dt", 5.0);
     let m: usize = parse("--m", 100);
     let n: u64 = parse("--n", (m as u64) * (m as u64));
     let b: usize = parse("--buffer", 5);
     let d: usize = parse("--d", 2);
-    SystemConfig::paper().with_dt(dt).with_buffer(b).with_d(d).with_size(n, m)
+    if !(dt > 0.0 && dt.is_finite()) {
+        fail_usage(format!("--dt must be positive and finite, got {dt}"));
+    }
+    for (flag, value) in [("--m", m as u64), ("--n", n), ("--buffer", b as u64), ("--d", d as u64)]
+    {
+        if value == 0 {
+            fail_usage(format!("{flag} must be at least 1"));
+        }
+    }
+    let config = SystemConfig::paper().with_dt(dt).with_buffer(b).with_d(d).with_size(n, m);
+    config.validate().unwrap_or_else(|e| fail_usage(format!("config: {e}")));
+    config
+}
+
+/// `--runs` for commands that report a Monte-Carlo mean: zero runs would
+/// print a meaningless `0.000 ± 0.000`, so it is a usage error (exit 2).
+fn runs_flag(default: usize) -> usize {
+    let runs = parse("--runs", default);
+    if runs == 0 {
+        fail_usage("--runs must be at least 1");
+    }
+    runs
 }
 
 /// Resolves the scenario: `--scenario <file>` wins; otherwise one is built
@@ -409,7 +433,10 @@ fn cmd_eval() {
                 .collect()
         })
         .unwrap_or_default();
-    let runs: usize = parse("--runs", 20);
+    if m_sweep.contains(&0) {
+        fail_usage("--m entries must be at least 1");
+    }
+    let runs = runs_flag(20);
     let seed: u64 = parse("--seed", 1);
     let threads: usize = workers_flag(0);
     let inference = inference_flags();
@@ -626,7 +653,7 @@ fn cmd_simulate() {
     }
     let config = scenario.config.clone();
     let policy = build_policy_for(&scenario);
-    let runs: usize = parse("--runs", 20);
+    let runs = runs_flag(20);
     let seed: u64 = parse("--seed", 1);
     let horizon = config.eval_episode_len();
     let workers = workers_flag(0);
@@ -715,7 +742,7 @@ fn cmd_meanfield() {
 
 fn cmd_compare() {
     let config = build_config();
-    let runs: usize = parse("--runs", 20);
+    let runs = runs_flag(20);
     let seed: u64 = parse("--seed", 1);
     let horizon = config.eval_episode_len();
     let engine = AggregateEngine::new(config.clone());
@@ -800,7 +827,7 @@ fn cmd_scv_compare() {
     use mflb::sim::{monte_carlo, PhAggregateEngine};
     let config = build_config();
     let scv: f64 = parse("--scv", 2.0);
-    let runs: usize = parse("--runs", 16);
+    let runs = runs_flag(16);
     let seed: u64 = parse("--seed", 1);
     let horizon = config.eval_episode_len();
     let service = PhaseType::fit_mean_scv(1.0 / config.service_rate, scv);
@@ -846,7 +873,7 @@ fn cmd_scv_compare() {
 fn cmd_serve() {
     use mflb::core::{FaultPlan, JobSizeLaw};
     use mflb::sim::{
-        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeOptions,
+        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeError, ServeOptions,
     };
     use std::cell::RefCell;
 
@@ -1068,7 +1095,12 @@ fn cmd_serve() {
             println!("{}", serde_json::to_string(tick).expect("tick serialization cannot fail"));
         },
     )
-    .unwrap_or_else(|e| fail(e.to_string()));
+    .unwrap_or_else(|e| match e {
+        // A stream that ends before its first job is the same usage
+        // error as an empty trace file.
+        ServeError::EmptyTrace => fail_usage(format!("stdin: {e}")),
+        e => fail(e.to_string()),
+    });
     // Compact, so stdout stays strict JSONL: ticks, then this last line.
     println!("{}", serde_json::to_string(&report).expect("report serialization cannot fail"));
     eprintln!(

@@ -548,6 +548,73 @@ fn serve_usage_errors_exit_2_before_touching_the_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace without a single job — an empty or comment-only file, or a
+/// stdin stream that hits EOF first — is a usage error (exit 2) with no
+/// report, never a 0-job run with a meaningless mean sojourn.
+#[test]
+fn serve_rejects_traces_without_jobs_with_exit_2() {
+    let dir = std::env::temp_dir().join("mflb_cli_serve_empty");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [("empty.jsonl", ""), ("comments.jsonl", "# header\n\n# trailer\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = mflb()
+            .args(["serve", "--trace", path.to_str().unwrap()])
+            .output()
+            .expect("run mflb serve");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no jobs"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: no report may be printed");
+    }
+    let out = mflb()
+        .args(["serve", "--trace", "-"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run mflb serve");
+    assert_eq!(out.status.code(), Some(2), "empty stdin stream");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("stdin: trace has no jobs"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report may be printed: {:?}", out.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Degenerate system flags and `--runs 0` are usage errors (exit 2), not
+/// builder panics (exit 101) or a silent `0.000 ± 0.000 (0 runs)`.
+#[test]
+fn degenerate_flags_exit_2() {
+    for (flag, value, needle) in [
+        ("--m", "0", "--m must be at least 1"),
+        ("--n", "0", "--n must be at least 1"),
+        ("--d", "0", "--d must be at least 1"),
+        ("--buffer", "0", "--buffer must be at least 1"),
+        ("--dt", "-1", "--dt must be positive"),
+        ("--runs", "0", "--runs must be at least 1"),
+    ] {
+        let out = mflb().args(["simulate", flag, value]).output().expect("run mflb simulate");
+        assert_eq!(out.status.code(), Some(2), "simulate {flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "simulate {flag} {value}: {stderr}");
+    }
+    for cmd in ["compare", "scv-compare"] {
+        let out = mflb().args([cmd, "--runs", "0"]).output().expect("run mflb");
+        assert_eq!(out.status.code(), Some(2), "{cmd} --runs 0");
+    }
+    let out = mflb().args(["meanfield", "--dt", "0"]).output().expect("run mflb meanfield");
+    assert_eq!(out.status.code(), Some(2), "meanfield --dt 0");
+
+    let dir = std::env::temp_dir().join("mflb_cli_degenerate_eval");
+    let ckpt = train_tiny_checkpoint(&dir);
+    for (flag, value) in [("--m", "20,0"), ("--runs", "0")] {
+        let out = mflb()
+            .args(["eval", "--checkpoint", ckpt.to_str().unwrap(), flag, value])
+            .output()
+            .expect("run mflb eval");
+        assert_eq!(out.status.code(), Some(2), "eval {flag} {value}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `mflb distill` → `--policy distilled` — the distillation surface: the
 /// artifact is written, reloads, and deploys through `mflb simulate`.
 #[test]
